@@ -258,11 +258,11 @@ fn main() {
         );
     }
 
-    // Drip parity: with no backlog every drain is a single command, and
-    // the worker short-circuits it onto the per-edge path — a high
-    // coalesce cap must cost (essentially) nothing. Guard the fix with a
-    // loose bound so noise doesn't flake CI but a real regression (the
-    // old batch-path overhead was ~8%) fails loudly.
+    // Drip parity: with no backlog every drain is a single one-edge
+    // command, which takes the same one-edge batch path at any cap — a
+    // high coalesce cap must cost (essentially) nothing. Guard it with a
+    // loose bound so noise doesn't flake CI but a real regression fails
+    // loudly.
     let drip_base = samples.iter().find(|s| s.scenario == "drip" && s.coalesce == 1);
     let drip_coalesced = samples.iter().find(|s| s.scenario == "drip" && s.coalesce == 256);
     if let (Some(base), Some(capped)) = (drip_base, drip_coalesced) {
@@ -277,7 +277,7 @@ fn main() {
         assert!(
             ratio < 1.35,
             "drip regression: coalesce=256 is {ratio:.2}x slower than per-edge \
-             (single-command drains must take the per-edge short circuit)"
+             (a single-command drain must cost the same at any cap)"
         );
     }
 

@@ -49,7 +49,7 @@ fn main() {
         )
         .expect("bootstrap");
         let det_density = {
-            let mut e = engine;
+            let e = engine;
             let d = e.detect().density;
             let found = enumerate_static(
                 e.graph(),

@@ -87,7 +87,7 @@ impl<'a> Attribution<'a> {
     }
 
     fn on_round(&mut self, engine: &SpadeEngine<AnyMetric>, done_ts: u64) {
-        let det = engine.cached_detection();
+        let det = engine.detect();
         for m in engine.community(det) {
             if let Some(&inst) = self.account_instance.get(&m.0) {
                 self.prevention.note_detection(inst, done_ts);

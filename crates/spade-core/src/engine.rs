@@ -25,12 +25,8 @@ pub enum DetectionBackend {
     #[default]
     Kinetic,
     /// Exact O(n) rescan after every update batch. Simple; used as the
-    /// oracle in tests and ablation benches.
+    /// oracle in tests and ablation benches, and by one-shot re-peels.
     EagerScan,
-    /// No maintenance; [`SpadeEngine::detect`] rescans on demand and
-    /// updates run fastest. Urgency thresholds read the cached (stale)
-    /// detection.
-    Lazy,
 }
 
 /// Engine configuration.
@@ -52,7 +48,6 @@ pub struct SpadeEngine<M: DensityMetric> {
     config: SpadeConfig,
     kinetic: Option<KineticIndex>,
     detection: Detection,
-    detection_dirty: bool,
     scratch: ReorderScratch,
     blacks_buf: Vec<VertexId>,
     /// Reusable batch scratch: edges that actually landed in the graph
@@ -81,10 +76,9 @@ impl<M: DensityMetric> SpadeEngine<M> {
             config,
             kinetic: match config.detection {
                 DetectionBackend::Kinetic => Some(KineticIndex::new()),
-                _ => None,
+                DetectionBackend::EagerScan => None,
             },
             detection: Detection::EMPTY,
-            detection_dirty: false,
             scratch: ReorderScratch::new(),
             blacks_buf: Vec::new(),
             inserted_buf: Vec::new(),
@@ -148,16 +142,9 @@ impl<M: DensityMetric> SpadeEngine<M> {
     ) -> Self {
         debug_assert_eq!(state.len(), graph.num_vertices());
         let mut engine = Self::with_config(metric, config);
-        if let Some(k) = engine.kinetic.as_mut() {
-            k.reset(state.delta_phys());
-        }
-        engine.detection = match engine.config.detection {
-            DetectionBackend::Kinetic => engine.kinetic.as_ref().unwrap().best(),
-            _ => state.scan_detect(),
-        };
         engine.graph = graph;
         engine.state = state;
-        engine.detection_dirty = false;
+        engine.reset_detection();
         engine
     }
 
@@ -175,14 +162,15 @@ impl<M: DensityMetric> SpadeEngine<M> {
         let outcome = peel(&graph);
         self.state = PeelingState::from_outcome(&outcome);
         self.graph = graph;
+        self.reset_detection();
+    }
+
+    /// Rebuilds the detection index from scratch over the current state.
+    fn reset_detection(&mut self) {
         if let Some(k) = self.kinetic.as_mut() {
             k.reset(self.state.delta_phys());
         }
-        self.detection = match self.config.detection {
-            DetectionBackend::Kinetic => self.kinetic.as_ref().unwrap().best(),
-            _ => self.state.scan_detect(),
-        };
-        self.detection_dirty = false;
+        self.refresh_detection();
     }
 
     /// The underlying graph (read-only).
@@ -215,19 +203,9 @@ impl<M: DensityMetric> SpadeEngine<M> {
         self.total_stats
     }
 
-    /// The most recently maintained detection **without** forcing a
-    /// recomputation — under the `Lazy` backend this may be stale.
-    pub fn cached_detection(&self) -> Detection {
-        self.detection
-    }
-
-    /// The current fraudulent community descriptor, recomputing if the
-    /// backend requires it.
-    pub fn detect(&mut self) -> Detection {
-        if self.detection_dirty {
-            self.detection = self.state.scan_detect();
-            self.detection_dirty = false;
-        }
+    /// The current fraudulent community descriptor. O(1): every update
+    /// refreshes it before returning.
+    pub fn detect(&self) -> Detection {
         self.detection
     }
 
@@ -269,7 +247,7 @@ impl<M: DensityMetric> SpadeEngine<M> {
 
     /// Inserts one transaction, evaluates its suspiciousness, reorders the
     /// affected window, and returns the (possibly updated) detection —
-    /// the paper's `InsertEdge`.
+    /// the paper's `InsertEdge`, i.e. `InsertBatchEdges` with |ΔE| = 1.
     ///
     /// A metric may return suspiciousness 0 to declare the transaction
     /// *redundant* (e.g. DG/FD set semantics for repeated pairs); the
@@ -280,29 +258,18 @@ impl<M: DensityMetric> SpadeEngine<M> {
         dst: VertexId,
         raw: f64,
     ) -> Result<Detection, GraphError> {
-        self.prepare_vertex(src)?;
-        self.prepare_vertex(dst)?;
-        let c = self.metric.edge_susp(src, dst, raw, &self.graph);
-        validate_susp(src, dst, c)?;
-        if c == 0.0 {
-            return Ok(self.cached_detection());
-        }
-        self.graph.insert_edge(src, dst, c)?;
-        self.blacks_buf.clear();
-        let earlier =
-            if self.state.position_of(src) < self.state.position_of(dst) { src } else { dst };
-        self.blacks_buf.push(earlier);
-        self.run_reorder();
-        Ok(self.refresh_detection())
+        self.insert_batch(&[(src, dst, raw)])
     }
 
     /// Inserts a batch of transactions and reorders **once** (Algorithm 2)
-    /// — the paper's `InsertBatchEdges`.
+    /// — the paper's `InsertBatchEdges`. Stops at the first malformed
+    /// transaction and returns its error; the edges staged before it stay
+    /// in the graph and are reordered, so the engine remains exact.
     pub fn insert_batch(
         &mut self,
         edges: &[(VertexId, VertexId, f64)],
     ) -> Result<Detection, GraphError> {
-        self.insert_batch_inner(edges, false)
+        strict(self.insert_batch_run(edges, false, false))
     }
 
     /// [`insert_batch`](Self::insert_batch) for edges whose suspiciousness
@@ -312,25 +279,32 @@ impl<M: DensityMetric> SpadeEngine<M> {
         &mut self,
         edges: &[(VertexId, VertexId, f64)],
     ) -> Result<Detection, GraphError> {
-        self.insert_batch_inner(edges, true)
+        // Pre-coalesce duplicate `(src, dst)` pairs: suspiciousness is
+        // already evaluated, so accumulation is linear and k parallel
+        // transactions collapse into one graph touch. (The
+        // metric-evaluating path cannot coalesce — `edge_susp` reads the
+        // evolving graph, so arrival order matters there.)
+        let mut coalesced = std::mem::take(&mut self.coalesce_buf);
+        coalesced.clear();
+        let result = match coalesce_pairs(edges, &mut coalesced, &mut self.pair_index) {
+            Ok(()) => strict(self.insert_batch_run(&coalesced, true, false)),
+            Err(e) => Err(e),
+        };
+        self.coalesce_buf = coalesced;
+        result
     }
 
     /// Batch insertion that **never fails**: malformed transactions
     /// (self-loops, non-finite or negative suspiciousness) are skipped
-    /// and counted instead of aborting the rest of the batch — exactly
-    /// what per-edge [`insert_edge`](Self::insert_edge) callers get by
-    /// dropping individual errors. Returns the post-batch detection and
-    /// the number of rejected transactions. This is the service worker's
-    /// drain-coalescing entry point.
+    /// and counted instead of aborting the rest of the batch. Returns the
+    /// post-batch detection and the number of rejected transactions.
+    /// This is the service worker's drain-coalescing entry point.
     pub fn insert_batch_tolerant(
         &mut self,
         edges: &[(VertexId, VertexId, f64)],
     ) -> (Detection, u64) {
-        match self.insert_batch_run(edges, false, true) {
-            Ok(result) => result,
-            // Tolerant runs swallow per-edge errors by construction.
-            Err(_) => unreachable!("tolerant batch insertion cannot fail"),
-        }
+        let (det, rejected, _) = self.insert_batch_run(edges, false, true);
+        (det, rejected)
     }
 
     /// [`insert_batch_tolerant`](Self::insert_batch_tolerant) for edges
@@ -341,60 +315,38 @@ impl<M: DensityMetric> SpadeEngine<M> {
         &mut self,
         edges: &[(VertexId, VertexId, f64)],
     ) -> (Detection, u64) {
-        match self.insert_batch_run(edges, true, true) {
-            Ok(result) => result,
-            Err(_) => unreachable!("tolerant batch insertion cannot fail"),
-        }
+        let (det, rejected, _) = self.insert_batch_run(edges, true, true);
+        (det, rejected)
     }
 
-    fn insert_batch_inner(
-        &mut self,
-        edges: &[(VertexId, VertexId, f64)],
-        preweighted: bool,
-    ) -> Result<Detection, GraphError> {
-        if preweighted && edges.len() > 1 {
-            // Pre-coalesce duplicate `(src, dst)` pairs: suspiciousness
-            // is already evaluated, so accumulation is linear and k
-            // parallel transactions collapse into one graph touch. (The
-            // metric-evaluating path cannot coalesce — `edge_susp` reads
-            // the evolving graph, so arrival order matters there.)
-            let mut coalesced = std::mem::take(&mut self.coalesce_buf);
-            coalesced.clear();
-            let merge = coalesce_pairs(edges, &mut coalesced, &mut self.pair_index);
-            let result = match merge {
-                Ok(()) => self.insert_batch_run(&coalesced, true, false).map(|(det, _)| det),
-                Err(e) => Err(e),
-            };
-            self.coalesce_buf = coalesced;
-            return result;
-        }
-        self.insert_batch_run(edges, preweighted, false).map(|(det, _)| det)
-    }
-
-    /// Shared batch core: stages every edge into the graph, seeds `ΔV`
-    /// (deduplicated by the reordering pass), and reorders **once**.
-    /// `tolerant` turns per-edge errors into a rejection count.
+    /// The one insertion core: stages every edge into the graph, seeds
+    /// `ΔV` (deduplicated by the reordering pass), and reorders **once**.
+    /// `tolerant` skips and counts malformed transactions; otherwise
+    /// staging stops at the first one, whose error is returned alongside
+    /// the detection. Either way every edge that landed is reordered
+    /// before returning.
     fn insert_batch_run(
         &mut self,
         edges: &[(VertexId, VertexId, f64)],
         preweighted: bool,
         tolerant: bool,
-    ) -> Result<(Detection, u64), GraphError> {
-        self.blacks_buf.clear();
+    ) -> (Detection, u64, Option<GraphError>) {
         let mut inserted = std::mem::take(&mut self.inserted_buf);
         inserted.clear();
         let mut rejected: u64 = 0;
+        let mut error = None;
         for &(src, dst, raw) in edges {
             match self.stage_edge(src, dst, raw, preweighted) {
                 Ok(true) => inserted.push((src, dst)),
                 Ok(false) => {} // redundant under the metric's set semantics
                 Err(_) if tolerant => rejected += 1,
                 Err(e) => {
-                    self.inserted_buf = inserted;
-                    return Err(e);
+                    error = Some(e);
+                    break;
                 }
             }
         }
+        self.blacks_buf.clear();
         for &(src, dst) in &inserted {
             let earlier =
                 if self.state.position_of(src) < self.state.position_of(dst) { src } else { dst };
@@ -402,7 +354,7 @@ impl<M: DensityMetric> SpadeEngine<M> {
         }
         self.inserted_buf = inserted;
         self.run_reorder();
-        Ok((self.refresh_detection(), rejected))
+        (self.refresh_detection(), rejected, error)
     }
 
     /// Stages one transaction of a batch into the graph (no reorder).
@@ -443,19 +395,10 @@ impl<M: DensityMetric> SpadeEngine<M> {
     }
 
     fn refresh_detection(&mut self) -> Detection {
-        match self.config.detection {
-            DetectionBackend::Kinetic => {
-                self.detection = self.kinetic.as_ref().unwrap().best();
-                self.detection_dirty = false;
-            }
-            DetectionBackend::EagerScan => {
-                self.detection = self.state.scan_detect();
-                self.detection_dirty = false;
-            }
-            DetectionBackend::Lazy => {
-                self.detection_dirty = true;
-            }
-        }
+        self.detection = match self.kinetic.as_ref() {
+            Some(k) => k.best(),
+            None => self.state.scan_detect(),
+        };
         self.detection
     }
 
@@ -578,7 +521,6 @@ impl<M: DensityMetric + Clone> Clone for SpadeEngine<M> {
             config: self.config,
             kinetic: self.kinetic.clone(),
             detection: self.detection,
-            detection_dirty: self.detection_dirty,
             scratch: self.scratch.clone(),
             blacks_buf: self.blacks_buf.clone(),
             inserted_buf: self.inserted_buf.clone(),
@@ -587,6 +529,15 @@ impl<M: DensityMetric + Clone> Clone for SpadeEngine<M> {
             last_stats: self.last_stats,
             total_stats: self.total_stats,
         }
+    }
+}
+
+/// A strict insertion's result: the first staging error if there was
+/// one (the landed prefix is already reordered), else the detection.
+fn strict((det, _, error): (Detection, u64, Option<GraphError>)) -> Result<Detection, GraphError> {
+    match error {
+        Some(e) => Err(e),
+        None => Ok(det),
     }
 }
 
@@ -651,7 +602,7 @@ mod tests {
 
     #[test]
     fn empty_engine_detects_nothing() {
-        let mut e = SpadeEngine::new(UnweightedDensity);
+        let e = SpadeEngine::new(UnweightedDensity);
         assert_eq!(e.detect(), Detection::EMPTY);
     }
 
@@ -760,6 +711,21 @@ mod tests {
     }
 
     #[test]
+    fn failed_strict_batch_reorders_the_edges_that_landed() {
+        let mut e = SpadeEngine::new(WeightedDensity);
+        e.insert_edge(v(0), v(1), 1.0).unwrap();
+        e.insert_edge(v(2), v(3), 1.0).unwrap();
+        // The self-loop fails after two heavy edges have landed: the
+        // error comes back, and the landed prefix is still reordered.
+        let result = e.insert_batch(&[(v(0), v(2), 50.0), (v(1), v(2), 50.0), (v(4), v(4), 1.0)]);
+        assert!(result.is_err());
+        assert_eq!(e.graph().num_edges(), 4);
+        check_against_static(&mut e);
+        e.insert_edge(v(3), v(1), 2.0).unwrap();
+        check_against_static(&mut e);
+    }
+
+    #[test]
     fn batch_scratch_buffers_are_reused_across_calls() {
         let mut e = SpadeEngine::new(WeightedDensity);
         e.insert_batch(&[(v(0), v(1), 2.0), (v(1), v(2), 3.0)]).unwrap();
@@ -795,10 +761,6 @@ mod tests {
                 WeightedDensity,
                 SpadeConfig { detection: DetectionBackend::EagerScan },
             ),
-            SpadeEngine::with_config(
-                WeightedDensity,
-                SpadeConfig { detection: DetectionBackend::Lazy },
-            ),
         ];
         for &(a, b, w) in &edges {
             let mut dets = Vec::new();
@@ -807,9 +769,7 @@ mod tests {
                 dets.push(e.detect());
             }
             assert_eq!(dets[0].size, dets[1].size);
-            assert_eq!(dets[0].size, dets[2].size);
             assert!((dets[0].density - dets[1].density).abs() < 1e-9);
-            assert!((dets[0].density - dets[2].density).abs() < 1e-9);
         }
     }
 

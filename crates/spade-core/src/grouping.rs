@@ -148,7 +148,7 @@ impl EdgeGrouper {
             return Ok(SubmitOutcome { urgent: false, flushed: None, buffered: self.buffer.len() });
         }
 
-        let threshold = engine.cached_detection().density;
+        let threshold = engine.detect().density;
         let urgent = self.is_urgent(engine, src, dst, c, threshold);
         self.buffer.push((src, dst, c));
         self.buffered_pairs.insert(pair);
@@ -191,14 +191,14 @@ impl EdgeGrouper {
     }
 
     /// Flushes the buffer into the engine (one batch reorder), returning
-    /// the post-flush detection. No-op returning the cached detection when
+    /// the post-flush detection. No-op returning the current detection when
     /// the buffer is empty.
     pub fn flush<M: DensityMetric>(
         &mut self,
         engine: &mut SpadeEngine<M>,
     ) -> Result<Detection, GraphError> {
         if self.buffer.is_empty() {
-            return Ok(engine.cached_detection());
+            return Ok(engine.detect());
         }
         self.flush_inner(engine)
     }

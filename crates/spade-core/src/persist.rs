@@ -413,12 +413,12 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_preserves_everything() {
-        let mut original = build_engine();
+        let original = build_engine();
         let det_before = original.detect();
         let mut bytes = Vec::new();
         save_engine(&original, &mut bytes).unwrap();
 
-        let mut restored =
+        let restored =
             load_engine(WeightedDensity, SpadeConfig::default(), bytes.as_slice()).unwrap();
         assert_eq!(restored.graph().num_vertices(), original.graph().num_vertices());
         assert_eq!(restored.graph().num_edges(), original.graph().num_edges());
@@ -468,7 +468,7 @@ mod tests {
         let original: SpadeEngine<WeightedDensity> = SpadeEngine::new(WeightedDensity);
         let mut bytes = Vec::new();
         save_engine(&original, &mut bytes).unwrap();
-        let mut restored =
+        let restored =
             load_engine(WeightedDensity, SpadeConfig::default(), bytes.as_slice()).unwrap();
         assert_eq!(restored.detect(), crate::state::Detection::EMPTY);
     }

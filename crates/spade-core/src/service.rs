@@ -11,17 +11,19 @@
 //!
 //! Two hot-path optimizations keep the ingest rate at hardware speed:
 //!
-//! * **Drain coalescing** (the paper's Algorithm 2 applied to the
-//!   runtime): after blocking on the first command, the worker
+//! * **One batch ingest path** (the paper's Algorithm 2 applied to the
+//!   runtime): every submit — a single transaction or a whole decoded
+//!   frame — is one queued run of edges, and a single insert is simply a
+//!   one-edge run. After blocking on the first command, the worker
 //!   opportunistically drains whatever else is already queued (up to
-//!   [`IngestConfig::coalesce`] commands) and feeds the whole run through
-//!   the batch insertion path, so a burst of N edges costs **one**
+//!   [`IngestConfig::coalesce`] edges) and feeds the whole run through
+//!   the engine's batch insertion, so a burst of N edges costs **one**
 //!   reorder pass and **one** publish instead of N of each. Exactness is
 //!   preserved: §4.2 guarantees the batch reorder yields a peeling
 //!   sequence bit-identical to per-edge insertion (property-tested in
 //!   `tests/properties.rs`), and `updates_applied` still counts every
-//!   submitted command. With edge grouping on, every drained insert is
-//!   classified per edge and an **urgent** flush publishes immediately
+//!   submitted transaction. With edge grouping on, every drained edge is
+//!   classified on its own and an **urgent** flush publishes immediately
 //!   mid-run — coalescing never delays the §4.3 real-time path, it only
 //!   amortizes the benign one.
 //! * **Zero-copy publishing**: the published snapshot holds its member
@@ -58,7 +60,7 @@ use std::time::{Duration, Instant};
 /// so front ends (sharded runtime, benches, the CLI) can look up the
 /// same series without stringly re-deriving them.
 pub mod metric_names {
-    /// Histogram: submit → drain wait per ingest command, nanoseconds.
+    /// Histogram: submit → drain wait per transaction, nanoseconds.
     /// Its count equals `updates_applied` at quiesce — every insert is
     /// timed exactly once.
     pub const STAGE_QUEUE_WAIT_NS: &str = "spade_stage_queue_wait_ns";
@@ -98,8 +100,10 @@ pub mod metric_names {
 pub struct IngestConfig {
     /// Bound of the ingest channel (back-pressure for bursty producers).
     pub queue_capacity: usize,
-    /// Maximum number of queued commands the worker drains per wake-up
-    /// and applies as one batch (one reorder pass, one publish). `1`
+    /// Maximum number of queued edges the worker drains per wake-up and
+    /// applies as one batch (one reorder pass, one publish). Draining
+    /// stops after the command that reaches the cap; a multi-edge command
+    /// that overshoots it applies each full batch as it fills. `1`
     /// reproduces strict per-edge processing; larger values amortize a
     /// burst without delaying anything — the worker never *waits* for a
     /// batch to fill, it only drains what is already queued.
@@ -228,18 +232,14 @@ pub struct AbsorbReceipt {
 
 /// The ingest protocol between a service handle and its worker thread.
 enum Command {
-    /// One transaction, stamped with its ingest time at `submit` /
-    /// frame-decode so the worker can attribute queueing latency
-    /// (Eq. 4's dominant term per §5.2) to the wait itself, plus its
-    /// optional detection-latency budget (drives the spring-push batch
-    /// boundary and deadline-miss accounting).
-    Insert { src: VertexId, dst: VertexId, raw: f64, queued: Instant, budget: Option<Duration> },
-    /// A whole run of transactions sharing one arrival stamp and budget
-    /// — the shard-grouped fast path: a decoded network frame becomes
-    /// one channel operation per destination shard instead of one per
-    /// edge. The worker feeds each edge through the same per-edge
-    /// accounting as `Insert`.
-    InsertBatch { edges: Vec<(VertexId, VertexId, f64)>, queued: Instant, budget: Option<Duration> },
+    /// A run of transactions (one for a per-edge submit, a whole decoded
+    /// frame's share for a batch) occupying one queue slot. It is stamped
+    /// with its ingest time at `submit` / frame-decode so the worker can
+    /// attribute queueing latency (Eq. 4's dominant term per §5.2) to the
+    /// wait itself, and carries the optional detection-latency budget of
+    /// every edge in it (drives the spring-push batch boundary and
+    /// deadline-miss accounting).
+    Insert { edges: Vec<(VertexId, VertexId, f64)>, queued: Instant, budget: Option<Duration> },
     /// Apply any buffered benign edges now.
     Flush,
     /// Drain marker: reply once every command queued before it has been
@@ -279,7 +279,7 @@ struct WorkerMetrics {
     rejected: Arc<Counter>,
     /// Ingest commands processed (mirrors `updates_applied`).
     updates: Arc<Counter>,
-    /// Submit → drain wait per ingest command (ns).
+    /// Submit → drain wait per transaction (ns).
     queue_wait_ns: Arc<Histogram>,
     /// Reorder/peel time per applied batch or urgent flush (ns).
     reorder_ns: Arc<Histogram>,
@@ -332,8 +332,8 @@ struct SharedDetection {
     /// attempt — the migration scheduler's size signal for choosing a
     /// move target.
     edges_resident: AtomicU64,
-    /// Edges queued beyond their command count: each `InsertBatch` holds
-    /// one channel slot but carries many edges, and back-pressure must
+    /// Edges queued beyond their command count: each `Insert` holds one
+    /// channel slot but may carry many edges, and back-pressure must
     /// stay edge-denominated — `queue_free` subtracts this surplus so a
     /// stream of batched frames cannot buffer unboundedly more edges
     /// than `queue_capacity`. Incremented by `submit_batch` before the
@@ -496,8 +496,7 @@ impl SpadeService {
         raw: f64,
         budget: Option<Duration>,
     ) -> bool {
-        let budget = budget.or(self.default_budget);
-        self.sender.send(Command::Insert { src, dst, raw, queued: Instant::now(), budget }).is_ok()
+        self.sender.send(self.insert_command(vec![(src, dst, raw)], budget)).is_ok()
     }
 
     /// Non-blocking [`submit`](Self::submit): enqueues only if the queue
@@ -516,14 +515,7 @@ impl SpadeService {
         raw: f64,
         budget: Option<Duration>,
     ) -> TrySubmit {
-        let budget = budget.or(self.default_budget);
-        match self.sender.try_send(Command::Insert {
-            src,
-            dst,
-            raw,
-            queued: Instant::now(),
-            budget,
-        }) {
+        match self.sender.try_send(self.insert_command(vec![(src, dst, raw)], budget)) {
             Ok(()) => TrySubmit::Queued,
             Err(TrySendError::Full(_)) => TrySubmit::Full,
             Err(TrySendError::Disconnected(_)) => TrySubmit::Closed,
@@ -544,21 +536,27 @@ impl SpadeService {
         if edges.is_empty() {
             return true;
         }
-        let budget = budget.or(self.default_budget);
         // The surplus is published BEFORE the send so a concurrent
         // `queue_free` never under-counts; the worker's decrement
         // happens-after the send, so the counter cannot go negative.
         // audit: advisory backlog counter, races only widen queue_free slack
         let surplus = (edges.len() - 1) as u64;
         self.shared.batched_backlog.fetch_add(surplus, Ordering::Relaxed);
-        let sent = self
-            .sender
-            .send(Command::InsertBatch { edges, queued: Instant::now(), budget })
-            .is_ok();
+        let sent = self.sender.send(self.insert_command(edges, budget)).is_ok();
         if !sent {
             self.shared.batched_backlog.fetch_sub(surplus, Ordering::Relaxed);
         }
         sent
+    }
+
+    /// Stamps a run of edges with its ingest time and budget (`None`
+    /// falls back to the service default).
+    fn insert_command(
+        &self,
+        edges: Vec<(VertexId, VertexId, f64)>,
+        budget: Option<Duration>,
+    ) -> Command {
+        Command::Insert { edges, queued: Instant::now(), budget: budget.or(self.default_budget) }
     }
 
     /// Bound of the ingest channel.
@@ -765,7 +763,7 @@ fn worker_loop<M: DensityMetric + Send + 'static>(
     let mut pending: Vec<(Instant, Option<Duration>)> = Vec::with_capacity(coalesce.min(4096));
     let mut publisher = Publisher::default();
     let mut updates: u64 = 0;
-    publisher.publish(&mut engine, &shared, updates, &metrics);
+    publisher.publish(&engine, &shared, updates, &metrics);
     let mut shutdown = false;
     while !shutdown {
         let Ok(first) = receiver.recv() else { break };
@@ -786,95 +784,61 @@ fn worker_loop<M: DensityMetric + Send + 'static>(
         let mut margin: Option<Duration> = None;
         loop {
             match cmd {
-                Command::Insert { src, dst, raw, queued, budget } => {
-                    run_len += 1;
+                Command::Insert { edges, queued, budget } => {
+                    if edges.len() > 1 {
+                        // The command left the channel: its surplus edges
+                        // no longer occupy queue slots.
+                        // audit: advisory backlog counter, races only widen queue_free slack
+                        shared
+                            .batched_backlog
+                            .fetch_sub((edges.len() - 1) as u64, Ordering::Relaxed);
+                    }
                     match grouper.as_mut() {
                         Some(g) => {
                             // Grouped inserts apply (or buffer) right
                             // here, so drain time IS apply time: one
-                            // clock read covers the queue-wait sample
-                            // and the start of processing time.
-                            let drained = Instant::now();
-                            record_wait(
-                                &metrics,
-                                drained.saturating_duration_since(queued),
-                                budget,
-                            );
-                            updates += 1;
-                            match g.submit(&mut engine, src, dst, raw) {
-                                Ok(out) if out.flushed.is_some() => {
-                                    // An urgent/capacity flush ran a real
-                                    // reorder pass: attribute its cost to
-                                    // the reorder/peel stage.
-                                    metrics.reorder_ns.record_duration(drained.elapsed());
-                                    metrics.registry.event(EventKind::Flush, updates);
-                                    sync_flush_count(&grouper, &metrics);
-                                    publisher.publish(&mut engine, &shared, updates, &metrics);
-                                }
-                                Ok(_) => {}
-                                Err(_) => {
-                                    metrics.rejected.inc();
-                                }
-                            }
-                        }
-                        None => {
-                            // Staged inserts defer their queue-wait
-                            // sample to apply time (the wait they pay
-                            // includes any spring-push delay). No clock
-                            // read per edge — apply stamps the batch
-                            // once.
-                            batch.push((src, dst, raw));
-                            pending.push((queued, budget));
-                        }
-                    }
-                    if run_len >= coalesce {
-                        break;
-                    }
-                }
-                Command::InsertBatch { edges, queued, budget } => {
-                    // The command left the channel: its surplus edges no
-                    // longer occupy queue slots (same as a drained
-                    // per-edge run).
-                    // audit: advisory backlog counter, races only widen queue_free slack
-                    shared
-                        .batched_backlog
-                        .fetch_sub((edges.len().saturating_sub(1)) as u64, Ordering::Relaxed);
-                    match grouper.as_mut() {
-                        Some(g) => {
+                            // clock read per command covers the
+                            // queue-wait samples and the start of the
+                            // first flush. Each later flush starts where
+                            // the previous publish ended, so flush
+                            // samples never overlap.
                             let drained = Instant::now();
                             let wait = drained.saturating_duration_since(queued);
+                            let mut flush_from = drained;
                             for (src, dst, raw) in edges {
                                 run_len += 1;
                                 record_wait(&metrics, wait, budget);
                                 updates += 1;
                                 match g.submit(&mut engine, src, dst, raw) {
                                     Ok(out) if out.flushed.is_some() => {
-                                        metrics.reorder_ns.record_duration(drained.elapsed());
+                                        // An urgent/capacity flush ran a
+                                        // real reorder pass: attribute its
+                                        // cost to the reorder/peel stage.
+                                        metrics.reorder_ns.record_duration(flush_from.elapsed());
                                         metrics.registry.event(EventKind::Flush, updates);
-                                        // `g` stays borrowed across the
-                                        // edge loop, so sync from it
-                                        // directly.
                                         metrics.flushes.store(g.stats().flushes as u64);
-                                        publisher.publish(&mut engine, &shared, updates, &metrics);
+                                        flush_from =
+                                            publisher.publish(&engine, &shared, updates, &metrics);
                                     }
                                     Ok(_) => {}
-                                    Err(_) => {
-                                        metrics.rejected.inc();
-                                    }
+                                    Err(_) => metrics.rejected.inc(),
                                 }
                             }
                         }
                         None => {
-                            for (src, dst, raw) in edges {
+                            // Staged inserts defer their queue-wait
+                            // sample to apply time (the wait they pay
+                            // includes any spring-push delay), so no
+                            // clock read here. A command that overshoots
+                            // the coalesce cap applies the full batch
+                            // mid-command and keeps going.
+                            let mut left = edges.len();
+                            for edge in edges {
                                 run_len += 1;
-                                batch.push((src, dst, raw));
+                                left -= 1;
+                                batch.push(edge);
                                 pending.push((queued, budget));
-                                if batch.len() >= coalesce {
-                                    // A frame can overshoot the coalesce
-                                    // cap mid-command: flush the full
-                                    // batch early and keep going — same
-                                    // mid-run publish the urgent grouped
-                                    // flush already does.
+                                if batch.len() >= coalesce && left > 0 {
                                     apply_batch(
                                         &mut engine,
                                         &mut batch,
@@ -882,7 +846,7 @@ fn worker_loop<M: DensityMetric + Send + 'static>(
                                         &mut updates,
                                         &metrics,
                                     );
-                                    publisher.publish(&mut engine, &shared, updates, &metrics);
+                                    publisher.publish(&engine, &shared, updates, &metrics);
                                 }
                             }
                         }
@@ -909,7 +873,7 @@ fn worker_loop<M: DensityMetric + Send + 'static>(
                     // and the published detection cover every earlier
                     // command in the FIFO.
                     apply_batch(&mut engine, &mut batch, &mut pending, &mut updates, &metrics);
-                    publisher.publish(&mut engine, &shared, updates, &metrics);
+                    publisher.publish(&engine, &shared, updates, &metrics);
                     let _ = reply.send(());
                 }
                 Command::Region { hops, reply } => {
@@ -923,7 +887,7 @@ fn worker_loop<M: DensityMetric + Send + 'static>(
                     // so the repair scheduler can record the export as
                     // seen instead of re-running over its own drain.
                     apply_batch(&mut engine, &mut batch, &mut pending, &mut updates, &metrics);
-                    publisher.publish(&mut engine, &shared, updates, &metrics);
+                    publisher.publish(&engine, &shared, updates, &metrics);
                     let det = engine.detect();
                     let members: Arc<[VertexId]> = Arc::from(engine.community(det));
                     let snapshot =
@@ -960,7 +924,7 @@ fn worker_loop<M: DensityMetric + Send + 'static>(
                     engine
                         .remove_member_slice(&members)
                         .expect("slice eviction cannot fail on a live graph");
-                    publisher.publish(&mut engine, &shared, updates, &metrics);
+                    publisher.publish(&engine, &shared, updates, &metrics);
                     let _ = reply.send(MigrationSlice {
                         vertices: snapshot.vertices.len(),
                         edges: snapshot.edges.len(),
@@ -975,7 +939,7 @@ fn worker_loop<M: DensityMetric + Send + 'static>(
                     if receipt.rejected > 0 {
                         metrics.rejected.add(receipt.rejected);
                     }
-                    publisher.publish(&mut engine, &shared, updates, &metrics);
+                    publisher.publish(&engine, &shared, updates, &metrics);
                     let _ = reply.send(receipt);
                 }
                 Command::Shutdown => {
@@ -1012,7 +976,7 @@ fn worker_loop<M: DensityMetric + Send + 'static>(
             }
         }
         sync_flush_count(&grouper, &metrics);
-        publisher.publish(&mut engine, &shared, updates, &metrics);
+        publisher.publish(&engine, &shared, updates, &metrics);
     }
     // All senders gone without an explicit shutdown marker: drain what
     // the grouper still buffers and publish the final state.
@@ -1021,7 +985,7 @@ fn worker_loop<M: DensityMetric + Send + 'static>(
             let _ = g.flush(&mut engine);
         }
         sync_flush_count(&grouper, &metrics);
-        publisher.publish(&mut engine, &shared, updates, &metrics);
+        publisher.publish(&engine, &shared, updates, &metrics);
     }
     let _ = engine_tx.send(Box::new(engine));
 }
@@ -1121,9 +1085,7 @@ fn spring_wait(
 /// counted, never fatal. Records the batch size, each transaction's
 /// queue wait and deadline outcome (stamped here, where the wait truly
 /// ends), and the reorder/peel wall time — the processing half of
-/// Eq. 4's latency split. A single-command drain skips the batch-path
-/// setup entirely and inserts per-edge — §4.2 makes a batch of one
-/// identical, and drip traffic should not pay batching overhead for it.
+/// Eq. 4's latency split.
 fn apply_batch<M: DensityMetric>(
     engine: &mut SpadeEngine<M>,
     batch: &mut Vec<(VertexId, VertexId, f64)>,
@@ -1143,15 +1105,6 @@ fn apply_batch<M: DensityMetric>(
     pending.clear();
     *updates += batch.len() as u64;
     metrics.batch_size.record(batch.len() as u64);
-    if let [(src, dst, raw)] = batch[..] {
-        let reorder_started = Instant::now();
-        if engine.insert_edge(src, dst, raw).is_err() {
-            metrics.rejected.inc();
-        }
-        metrics.reorder_ns.record_duration(reorder_started.elapsed());
-        batch.clear();
-        return;
-    }
     let reorder_started = Instant::now();
     let (_, rejected) = engine.insert_batch_tolerant(batch);
     metrics.reorder_ns.record_duration(reorder_started.elapsed());
@@ -1189,13 +1142,15 @@ impl Default for Publisher {
 }
 
 impl Publisher {
+    /// Publishes the engine's detection if it changed; returns when the
+    /// attempt finished.
     fn publish<M: DensityMetric>(
         &mut self,
-        engine: &mut SpadeEngine<M>,
+        engine: &SpadeEngine<M>,
         shared: &SharedDetection,
         updates: u64,
         metrics: &WorkerMetrics,
-    ) {
+    ) -> Instant {
         let publish_started = Instant::now();
         // Exactness accounting advances on every attempt, even when the
         // snapshot itself is not swapped. The resident-size store comes
@@ -1209,8 +1164,7 @@ impl Publisher {
         let windows = engine.total_reorder_stats().windows;
         if self.last_windows == Some(windows) && det == self.last {
             metrics.skipped_unchanged.inc();
-            metrics.publish_ns.record_duration(publish_started.elapsed());
-            return;
+            return record_publish(metrics, publish_started);
         }
         self.last_windows = Some(windows);
         self.last = det;
@@ -1224,9 +1178,17 @@ impl Publisher {
             epoch: self.epoch,
         };
         metrics.publishes.inc();
-        metrics.publish_ns.record_duration(publish_started.elapsed());
+        let done = record_publish(metrics, publish_started);
         metrics.registry.event(EventKind::Publish, self.epoch);
+        done
     }
+}
+
+/// Records one publish attempt's latency and returns its end.
+fn record_publish(metrics: &WorkerMetrics, started: Instant) -> Instant {
+    let done = Instant::now();
+    metrics.publish_ns.record_duration(done.saturating_duration_since(started));
+    done
 }
 
 #[cfg(test)]
@@ -1370,7 +1332,7 @@ mod tests {
             assert!(service.submit(a, b, w));
         }
         let (det, engine) = service.shutdown_into_engine::<WeightedDensity>();
-        let mut coalesced = engine.expect("engine handed back");
+        let coalesced = engine.expect("engine handed back");
         assert_eq!(det.updates_applied, edges.len() as u64);
 
         let mut solo = SpadeEngine::new(WeightedDensity);
@@ -1704,7 +1666,7 @@ mod tests {
         assert!(service.submit_batch(edges.clone(), None));
         assert!(service.submit_batch(Vec::new(), None), "empty batch is a no-op");
         let (det, engine) = service.shutdown_into_engine::<WeightedDensity>();
-        let mut batched = engine.expect("engine handed back");
+        let batched = engine.expect("engine handed back");
         assert_eq!(det.updates_applied, 30);
 
         let mut solo = SpadeEngine::new(WeightedDensity);
@@ -1713,6 +1675,35 @@ mod tests {
         }
         assert_eq!(batched.state().logical_order(), solo.state().logical_order());
         assert_eq!(batched.detect(), solo.detect());
+    }
+
+    #[test]
+    fn grouped_batch_flush_samples_never_overlap() {
+        // Every edge outweighs all earlier ones, so each is urgent
+        // (Definition 4.1) and flushes on its own: one command, 200
+        // reorder samples.
+        let service = SpadeService::spawn(
+            SpadeEngine::new(WeightedDensity),
+            Some(GroupingConfig::default()),
+            16,
+        );
+        let edges: Vec<(VertexId, VertexId, f64)> =
+            (0..200u32).map(|i| (v(i), v(i + 1), f64::from(i + 1))).collect();
+        let started = Instant::now();
+        assert!(service.submit_batch(edges, None));
+        assert!(service.barrier());
+        let wall = started.elapsed();
+        assert_eq!(service.stats().flushes, 200);
+        let reorder = &service.metrics().histograms[metric_names::STAGE_REORDER_NS];
+        assert_eq!(reorder.count, 200);
+        // Each sample covers its own flush only, so together they fit in
+        // the wall time of the call.
+        assert!(
+            reorder.mean() * reorder.count as f64 <= wall.as_nanos() as f64,
+            "reorder samples sum to {} ns over a {} ns call",
+            reorder.sum,
+            wall.as_nanos()
+        );
     }
 
     #[test]

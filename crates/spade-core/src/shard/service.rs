@@ -63,7 +63,7 @@ pub struct ShardedConfig {
     pub shards: usize,
     /// Per-shard ingest queue bound (back-pressure per shard).
     pub queue_capacity: usize,
-    /// Per-shard drain-coalescing cap: how many queued commands a shard
+    /// Per-shard drain-coalescing cap: how many queued edges a shard
     /// worker applies per wake-up as one batch (one reorder pass, one
     /// publish). `1` means strict per-edge processing; see
     /// [`IngestConfig::coalesce`].

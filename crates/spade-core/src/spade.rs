@@ -172,7 +172,7 @@ impl Spade {
                 let outcome = grouper.submit(&mut self.engine, src, dst, raw)?;
                 match outcome.flushed {
                     Some((_, det)) => det,
-                    None => self.engine.cached_detection(),
+                    None => self.engine.detect(),
                 }
             }
             None => self.engine.insert_edge(src, dst, raw)?,

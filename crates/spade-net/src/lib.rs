@@ -12,7 +12,7 @@
 //! streams; until now the runtime only ingested from in-process
 //! iterators. This crate is the thin transport the sharded worker loop
 //! was built to receive: frames decode straight into
-//! `ShardedSpadeService::try_submit`, so every shard's drain-coalescing
+//! `ShardedSpadeService::submit_batch`, so every shard's drain-coalescing
 //! batch path, routing policy, and repair/migration machinery is
 //! inherited unchanged — and back-pressure crosses the wire. When a
 //! shard's bounded ingest queue is full, the server answers

@@ -28,7 +28,8 @@
 //!   *reading* from that connection (back-pressure through the kernel
 //!   window) but keeps every other connection moving.
 //! * **Nothing on the loop blocks on the runtime.** Ingest goes through
-//!   `try_submit`/`submit_batch` exactly as before, and the one formerly
+//!   `submit_batch`, whose free-slot precheck answers a full queue with
+//!   Busy instead of a wait, and the one formerly
 //!   blocking wait — read-your-acks `Detect` — becomes a deferred reply:
 //!   the connection parks (reads paused, replies in order preserved)
 //!   until the shards' applied total reaches the acknowledged watermark,

@@ -8,13 +8,13 @@
 //! bridge safe under load:
 //!
 //! * **Back-pressure crosses the wire.** Ingest goes through
-//!   [`ShardedSpadeService::try_submit`]; a full shard queue turns into a
-//!   [`WireFrame::Busy`] reply carrying the count of edges that *were*
+//!   [`ShardedSpadeService::submit_batch`]; a full shard queue turns into
+//!   a [`WireFrame::Busy`] reply carrying the count of edges that *were*
 //!   enqueued, and the producer retries the rest. The event loop never
 //!   blocks on the runtime — one back-pressured shard never
 //!   head-of-line-blocks the listener or any other connection.
 //! * **Acknowledgement is enqueue.** An edge is counted in an Ack/Busy
-//!   `accepted` total only after `try_submit` queued it, and every queued
+//!   `accepted` total only after `submit_batch` queued it, and every queued
 //!   command is drained before shutdown completes — so the sum of
 //!   acknowledged edges equals the shards' `updates_applied` total at
 //!   shutdown. The back-pressure integration test pins this down.
@@ -31,7 +31,6 @@ use crate::reactor::{Reactor, ReactorConfig};
 use crate::wire::{write_frame, MetricsReply, StatsReply, WireFrame, METRICS_VERSION};
 use parking_lot::Mutex;
 use spade_core::shard::ShardedSpadeService;
-use spade_core::TrySubmit;
 use spade_graph::VertexId;
 use spade_metrics::MetricsSnapshot;
 use std::collections::BTreeMap;
@@ -301,7 +300,7 @@ pub(crate) fn apply_frame(
     };
     match frame {
         WireFrame::Edge { src, dst, raw } => {
-            let (frame, alive) = submit_run(&[(src, dst, raw)], service, telemetry, conn);
+            let (frame, alive) = submit_grouped(&[(src, dst, raw)], None, service, telemetry, conn);
             reply(&frame);
             step_if(alive)
         }
@@ -446,44 +445,13 @@ pub(crate) fn applied_total(service: &ShardedSpadeService) -> u64 {
     service.stats().iter().map(|s| s.service.updates_applied).sum()
 }
 
-/// Enqueues a run of edges until done or a shard queue fills, producing
-/// the Ack/Busy/Error reply. Returns `(reply, keep_connection)`.
-fn submit_run(
-    edges: &[(VertexId, VertexId, f64)],
-    service: &ShardedSpadeService,
-    telemetry: &NetTelemetry,
-    conn: &ConnCounters,
-) -> (WireFrame, bool) {
-    let mut accepted = 0u64;
-    for &(src, dst, raw) in edges {
-        // audit: monotone transport counters, telemetry only
-        match service.try_submit(src, dst, raw) {
-            TrySubmit::Queued => accepted += 1,
-            TrySubmit::Full => {
-                telemetry.edges_accepted.fetch_add(accepted, Ordering::Relaxed);
-                telemetry.busy_replies.fetch_add(1, Ordering::Relaxed);
-                conn.busy_replies.fetch_add(1, Ordering::Relaxed);
-                telemetry.registry.event(spade_metrics::EventKind::Busy, accepted);
-                return (WireFrame::Busy { accepted }, true);
-            }
-            TrySubmit::Closed => {
-                telemetry.edges_accepted.fetch_add(accepted, Ordering::Relaxed);
-                return (WireFrame::Error { message: "runtime has shut down".into() }, false);
-            }
-        }
-    }
-    // audit: monotone transport counter, telemetry only
-    telemetry.edges_accepted.fetch_add(accepted, Ordering::Relaxed);
-    (WireFrame::Ack { accepted }, true)
-}
-
-/// The batch fast path: hands the whole frame to
+/// The one ingest path of every edge-carrying frame (a single `Edge` is a
+/// one-edge batch): hands the edges to
 /// [`ShardedSpadeService::submit_batch`], which routes every edge once
-/// and enqueues one grouped command per destination shard — instead of a
-/// route + `try_send` round trip per edge. Admission is still the strict
-/// frame-order prefix, so a `Busy` reply's `accepted` count keeps its
-/// retry-the-suffix meaning, and the Ack/Busy/Error telemetry is
-/// identical to the per-edge path.
+/// and enqueues one grouped command per destination shard. Admission is
+/// the strict frame-order prefix, so a `Busy` reply's `accepted` count
+/// keeps its retry-the-suffix meaning. Returns `(reply,
+/// keep_connection)`.
 fn submit_grouped(
     edges: &[(VertexId, VertexId, f64)],
     budget: Option<Duration>,

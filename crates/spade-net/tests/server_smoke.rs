@@ -1,16 +1,20 @@
 //! Server integration smoke tests over a real loopback socket: a basic
-//! produce → detect roundtrip, protocol queries, and the malformed-frame
-//! smoke check (garbage bytes earn an Error reply and a closed
-//! connection while the server keeps serving everyone else).
+//! produce → detect roundtrip, single-edge frames (Ack and Busy),
+//! protocol queries, and the malformed-frame smoke check (garbage bytes
+//! earn an Error reply and a closed connection while the server keeps
+//! serving everyone else).
 
-use spade_core::metric::WeightedDensity;
+use spade_core::metric::{CustomMetric, WeightedDensity};
 use spade_core::shard::{ShardedConfig, ShardedSpadeService};
-use spade_core::PartitionStrategy;
+use spade_core::{PartitionStrategy, SpadeEngine};
 use spade_graph::VertexId;
-use spade_net::{read_frame, SpadeNetClient, SpadeNetServer, WireFrame};
+use spade_net::{
+    read_frame, write_frame, DetectionReply, SpadeNetClient, SpadeNetServer, WireFrame,
+};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 fn v(i: u32) -> VertexId {
     VertexId(i)
@@ -62,6 +66,94 @@ fn a_producer_feeds_the_runtime_and_reads_the_detection_back() {
     let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("service still shared"));
     let global = service.shutdown();
     assert_eq!(global.total_updates, 22);
+}
+
+/// Sends one frame on a raw connection and reads its reply.
+fn roundtrip(conn: &mut TcpStream, frame: &WireFrame) -> WireFrame {
+    write_frame(conn, frame).expect("write");
+    read_frame(conn).expect("reply").expect("connection closed")
+}
+
+fn edge(src: u32, dst: u32, raw: f64) -> WireFrame {
+    WireFrame::Edge { src: v(src), dst: v(dst), raw }
+}
+
+fn detection(conn: &mut TcpStream) -> DetectionReply {
+    match roundtrip(conn, &WireFrame::Detect) {
+        WireFrame::Detection(det) => det,
+        other => panic!("expected a Detection, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_edge_frame_is_acked_and_reflected_by_the_next_detect() {
+    let (service, server) = spawn_server(2);
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    assert_eq!(roundtrip(&mut conn, &edge(0, 1, 4.0)), WireFrame::Ack { accepted: 1 });
+    let det = detection(&mut conn);
+    assert_eq!(det.updates_applied, 1);
+    assert_eq!((det.size, det.density), (2, 2.0));
+
+    // A heavier pair on the other shard takes over the detection.
+    assert_eq!(roundtrip(&mut conn, &edge(3, 2, 10.0)), WireFrame::Ack { accepted: 1 });
+    let det = detection(&mut conn);
+    assert_eq!(det.updates_applied, 2);
+    assert_eq!((det.size, det.density), (2, 5.0));
+    let mut members: Vec<u32> = det.members.iter().map(|m| m.0).collect();
+    members.sort_unstable();
+    assert_eq!(members, vec![2, 3]);
+
+    drop(conn);
+    let net = server.shutdown();
+    assert_eq!((net.edges_accepted, net.busy_replies), (2, 0));
+    let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("service still shared"));
+    assert_eq!(service.shutdown().total_updates, 2);
+}
+
+#[test]
+fn an_edge_frame_against_a_full_shard_queue_is_answered_busy() {
+    // One shard with a one-slot queue, whose worker blocks inside the
+    // metric on the first edge it applies until the gate sender drops.
+    let (entered_tx, entered) = mpsc::channel::<()>();
+    let (gate_tx, gate_rx) = mpsc::channel::<()>();
+    let gate_rx = Arc::new(Mutex::new(gate_rx));
+    let config = ShardedConfig {
+        queue_capacity: 1,
+        strategy: PartitionStrategy::HashBySource,
+        ..ShardedConfig::with_shards(1)
+    };
+    let service = Arc::new(ShardedSpadeService::spawn_with(config, |_| {
+        let (entered_tx, gate_rx) = (entered_tx.clone(), Arc::clone(&gate_rx));
+        SpadeEngine::new(CustomMetric::new(
+            "gated",
+            |_, _| 0.0,
+            move |_, _, raw, _| {
+                let _ = entered_tx.send(());
+                let _ = gate_rx.lock().expect("gate lock").recv();
+                raw
+            },
+        ))
+    }));
+    let server = SpadeNetServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    // Rebound after the service so it drops first: a failing assertion
+    // opens the gate before the unwind joins the worker.
+    let gate = gate_tx;
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+
+    assert_eq!(roundtrip(&mut conn, &edge(0, 1, 1.0)), WireFrame::Ack { accepted: 1 });
+    entered.recv_timeout(Duration::from_secs(10)).expect("worker never started applying");
+    // The worker holds the first edge: the second fills the one slot,
+    // the third bounces with nothing accepted.
+    assert_eq!(roundtrip(&mut conn, &edge(2, 3, 1.0)), WireFrame::Ack { accepted: 1 });
+    assert_eq!(roundtrip(&mut conn, &edge(4, 5, 1.0)), WireFrame::Busy { accepted: 0 });
+
+    drop(gate);
+    assert_eq!(detection(&mut conn).updates_applied, 2);
+    drop(conn);
+    let net = server.shutdown();
+    assert_eq!((net.edges_accepted, net.busy_replies), (2, 1));
+    let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("service still shared"));
+    assert_eq!(service.shutdown().total_updates, 2);
 }
 
 #[test]

@@ -75,7 +75,7 @@ fn main() {
 
     // (The service consumed the engine; rebuild one from the same inputs
     // to demonstrate the snapshot path.)
-    let mut engine = SpadeEngine::bootstrap(
+    let engine = SpadeEngine::bootstrap(
         WeightedDensity,
         SpadeConfig::default(),
         history.edges.iter().map(|e| (e.src, e.dst, e.raw)),
@@ -84,7 +84,7 @@ fn main() {
     let mut snapshot = Vec::new();
     save_engine(&engine, &mut snapshot).expect("snapshot");
     println!("snapshot size: {} KiB", snapshot.len() / 1024);
-    let mut restored =
+    let restored =
         load_engine(WeightedDensity, SpadeConfig::default(), snapshot.as_slice()).expect("restore");
     assert_eq!(restored.detect(), engine.detect());
     println!("restored engine detects identically — no re-peel needed");

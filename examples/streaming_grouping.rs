@@ -57,7 +57,7 @@ fn main() {
             }
             // Attribute the detection to fraud instances whose accounts
             // appear in the detected community.
-            let det = engine.cached_detection();
+            let det = engine.detect();
             for member in engine.community(det) {
                 if let Some(&inst) = account_instance.get(&member.0) {
                     prevention.note_detection(inst, e.timestamp);

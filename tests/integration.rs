@@ -107,7 +107,7 @@ fn grouping_pipeline_prevents_fraud() {
             for generated in queued.drain(..) {
                 latency.record(generated, e.timestamp, e.timestamp);
             }
-            let det = engine.cached_detection();
+            let det = engine.detect();
             for m in engine.community(det) {
                 if let Some(&inst) = account_instance.get(&m.0) {
                     prevention.note_detection(inst, e.timestamp);
@@ -250,6 +250,6 @@ fn facade_full_lifecycle() {
     assert_eq!(spade.grouper().unwrap().buffered(), 0);
     spade.engine().state().validate_greedy(spade.engine().graph(), 1e-6);
     let fresh = peel(spade.engine().graph());
-    let det = spade.engine().cached_detection();
+    let det = spade.engine().detect();
     assert!((det.density - fresh.best_density).abs() < 1e-6);
 }

@@ -185,7 +185,7 @@ proptest! {
             submitted += 1;
         }
         let (det, engine) = service.shutdown_into_engine::<WeightedDensity>();
-        let mut coalesced = engine.expect("worker hands the engine back");
+        let coalesced = engine.expect("worker hands the engine back");
         prop_assert_eq!(det.updates_applied, submitted);
 
         let mut solo = SpadeEngine::new(WeightedDensity);
@@ -257,7 +257,7 @@ proptest! {
         }
 
         let (det, engine) = service.shutdown_into_engine::<WeightedDensity>();
-        let mut budgeted = engine.expect("worker hands the engine back");
+        let budgeted = engine.expect("worker hands the engine back");
         prop_assert_eq!(det.updates_applied, submitted);
         let mut solo = SpadeEngine::new(WeightedDensity);
         for &(a, b, w) in &edges {
@@ -282,10 +282,10 @@ proptest! {
         }
         let mut buf = Vec::new();
         save_engine(&engine, &mut buf).unwrap();
-        let mut restored =
+        let restored =
             load_engine(WeightedDensity, SpadeConfig::default(), buf.as_slice()).unwrap();
         prop_assert_eq!(restored.state().logical_order(), engine.state().logical_order());
-        let (d1, d2) = (restored.detect(), engine.cached_detection());
+        let (d1, d2) = (restored.detect(), engine.detect());
         prop_assert_eq!(d1.size, d2.size);
         prop_assert!((d1.density - d2.density).abs() < 1e-9);
     }
